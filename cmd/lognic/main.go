@@ -45,6 +45,7 @@ import (
 
 	"lognic/internal/cli"
 	"lognic/internal/obs/olog"
+	"lognic/internal/spec"
 )
 
 type knobList []string
@@ -74,7 +75,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *mixOut {
-		f, err := cli.LoadFile(flag.Arg(0))
+		f, err := spec.Load(flag.Arg(0))
 		if err != nil {
 			fatal(err)
 		}

@@ -7,85 +7,33 @@
 package cli
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
 	"strings"
 
 	"lognic/internal/core"
+	"lognic/internal/eval"
 	"lognic/internal/obs"
 	"lognic/internal/sim"
 	"lognic/internal/spec"
-	"lognic/internal/traffic"
 	"lognic/internal/unit"
 )
 
 // PointResult is the JSON shape of one analytical estimate.
-type PointResult struct {
-	IngressBW    float64            `json:"ingress_bw"`
-	Throughput   float64            `json:"throughput"`
-	Bottleneck   string             `json:"bottleneck"`
-	Latency      float64            `json:"latency"`
-	DropRate     float64            `json:"drop_rate"`
-	Constraints  []ConstraintResult `json:"constraints"`
-	PathsLatency []PathResult       `json:"paths,omitempty"`
-}
-
-// ConstraintResult is one Equation 4 term.
-type ConstraintResult struct {
-	Kind  string  `json:"kind"`
-	Name  string  `json:"name,omitempty"`
-	Limit float64 `json:"limit"`
-}
-
-// PathResult is one path's latency breakdown.
-type PathResult struct {
-	Vertices []string `json:"vertices"`
-	Weight   float64  `json:"weight"`
-	Total    float64  `json:"total"`
-	Queueing float64  `json:"queueing"`
-	Compute  float64  `json:"compute"`
-	Overhead float64  `json:"overhead"`
-	Movement float64  `json:"movement"`
-}
+type PointResult = eval.PointResult
 
 // EstimatePoint evaluates a model once.
-func EstimatePoint(m core.Model) (PointResult, error) {
-	est, err := m.Estimate()
-	if err != nil {
-		return PointResult{}, err
-	}
-	out := PointResult{
-		IngressBW:  m.Traffic.IngressBW,
-		Throughput: est.Throughput.Attainable,
-		Bottleneck: est.Throughput.Bottleneck.String(),
-		Latency:    est.Latency.Attainable,
-		DropRate:   est.Latency.DropRate,
-	}
-	for _, c := range est.Throughput.Constraints {
-		out.Constraints = append(out.Constraints, ConstraintResult{
-			Kind: c.Kind.String(), Name: c.Name, Limit: c.Limit,
-		})
-	}
-	for _, p := range est.Latency.Paths {
-		out.PathsLatency = append(out.PathsLatency, PathResult{
-			Vertices: p.Vertices, Weight: p.Weight, Total: p.Total,
-			Queueing: p.Queueing, Compute: p.Compute,
-			Overhead: p.Overhead, Movement: p.Movement,
-		})
-	}
-	return out, nil
-}
+func EstimatePoint(m core.Model) (PointResult, error) { return eval.Point(m) }
 
 // RunPoint evaluates and renders a single estimate.
 func RunPoint(w io.Writer, m core.Model, jsonOut bool) error {
-	pt, err := EstimatePoint(m)
+	pt, err := eval.Point(m)
 	if err != nil {
 		return err
 	}
 	if jsonOut {
-		return json.NewEncoder(w).Encode(pt)
+		return eval.Write(w, pt)
 	}
 	fmt.Fprintf(w, "graph: %s\n", m.Graph.Name())
 	fmt.Fprintf(w, "offered:    %s (granularity %s)\n",
@@ -147,7 +95,7 @@ func RunSweep(w io.Writer, m core.Model, arg string, jsonOut bool) error {
 		bw := lo + (hi-lo)*float64(i)/float64(steps-1)
 		mm := m
 		mm.Traffic.IngressBW = bw
-		pt, err := EstimatePoint(mm)
+		pt, err := eval.Point(mm)
 		if err != nil {
 			return err
 		}
@@ -155,7 +103,7 @@ func RunSweep(w io.Writer, m core.Model, arg string, jsonOut bool) error {
 		pts = append(pts, pt)
 	}
 	if jsonOut {
-		return json.NewEncoder(w).Encode(pts)
+		return eval.Write(w, pts)
 	}
 	fmt.Fprintf(w, "%-14s%-14s%-14s%-12s%s\n", "offered", "throughput", "latency", "droprate", "bottleneck")
 	for _, pt := range pts {
@@ -195,8 +143,6 @@ type SimOptions struct {
 // RunSim simulates the model's graph under its traffic profile and renders
 // measured results.
 func RunSim(w io.Writer, m core.Model, opts SimOptions) error {
-	prof := traffic.Fixed(m.Graph.Name(),
-		unit.Bandwidth(m.Traffic.IngressBW), unit.Size(m.Traffic.Granularity))
 	reg := opts.Registry
 	if reg == nil && opts.MetricsOut != "" {
 		reg = obs.NewRegistry()
@@ -205,17 +151,14 @@ func RunSim(w io.Writer, m core.Model, opts SimOptions) error {
 	if opts.TraceOut != "" {
 		tracer = obs.NewTracer(0)
 	}
-	res, err := sim.Run(sim.Config{
-		Graph:                m.Graph,
-		Hardware:             m.Hardware,
-		Profile:              prof,
+	res, err := sim.Run(eval.SimConfig(m, sim.Config{
 		Seed:                 opts.Seed,
 		Duration:             opts.Duration,
 		DeterministicService: opts.Deterministic,
 		Metrics:              reg,
 		Spans:                tracer,
 		Shards:               opts.Shards,
-	})
+	}))
 	if err != nil {
 		return err
 	}
@@ -232,7 +175,7 @@ func RunSim(w io.Writer, m core.Model, opts SimOptions) error {
 		}
 	}
 	if opts.JSON {
-		return json.NewEncoder(w).Encode(res)
+		return eval.Write(w, res)
 	}
 	fmt.Fprintf(w, "simulated:  %gs (seed %d)\n", res.SimTime, opts.Seed)
 	fmt.Fprintf(w, "offered:    %s, delivered %d packets (%s)\n",
@@ -289,7 +232,7 @@ func RunMix(w io.Writer, f spec.File, jsonOut bool) error {
 	}
 	out := MixResult{Throughput: mix.Throughput, Latency: mix.Latency}
 	for _, c := range comps {
-		pt, err := EstimatePoint(c.Model)
+		pt, err := eval.Point(c.Model)
 		if err != nil {
 			return err
 		}
@@ -297,7 +240,7 @@ func RunMix(w io.Writer, f spec.File, jsonOut bool) error {
 		out.Components = append(out.Components, pt)
 	}
 	if jsonOut {
-		return json.NewEncoder(w).Encode(out)
+		return eval.Write(w, out)
 	}
 	fmt.Fprintf(w, "mixed throughput: %s\n", unit.Bandwidth(out.Throughput))
 	fmt.Fprintf(w, "mixed latency:    %s\n", unit.Duration(out.Latency))
@@ -310,7 +253,3 @@ func RunMix(w io.Writer, f spec.File, jsonOut bool) error {
 	}
 	return nil
 }
-
-// LoadFile reads a JSON spec file without converting it, for callers that
-// need mix or other spec-level features.
-func LoadFile(path string) (spec.File, error) { return spec.Load(path) }

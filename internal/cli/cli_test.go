@@ -2,12 +2,14 @@ package cli
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"lognic/internal/core"
+	"lognic/internal/eval"
 	"lognic/internal/spec"
 )
 
@@ -252,5 +254,28 @@ func TestRunMix(t *testing.T) {
 	}
 	if res.Throughput <= 0 || len(res.Components) != 2 {
 		t.Fatalf("result = %+v", res)
+	}
+}
+
+// A spec that drives the model out of floating-point range is an error —
+// the command prints it and exits 1 — in text and JSON output alike, with
+// nothing half-written.
+func TestRunPointNonFinite(t *testing.T) {
+	for _, mutate := range []func(*core.Model){
+		func(m *core.Model) { m.Traffic.Granularity = 1.7e308 },
+		func(m *core.Model) { m.Traffic.Granularity = 1e-320 },
+		func(m *core.Model) { m.Traffic.IngressBW = 1.7e308 },
+	} {
+		m := testModel(t)
+		mutate(&m)
+		for _, jsonOut := range []bool{false, true} {
+			var b strings.Builder
+			if err := RunPoint(&b, m, jsonOut); !errors.Is(err, eval.ErrNonFinite) {
+				t.Errorf("traffic %+v json=%v: err = %v, want ErrNonFinite", m.Traffic, jsonOut, err)
+			}
+			if b.Len() != 0 {
+				t.Errorf("traffic %+v json=%v: wrote %q before failing", m.Traffic, jsonOut, b.String())
+			}
+		}
 	}
 }

@@ -5,16 +5,15 @@ package cli
 // simulation (sim.PermanentFaults).
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 
 	"lognic/internal/core"
+	"lognic/internal/eval"
 	"lognic/internal/serve"
 	"lognic/internal/sim"
 	"lognic/internal/spec"
-	"lognic/internal/traffic"
 	"lognic/internal/unit"
 )
 
@@ -131,15 +130,9 @@ func faultsSide(m core.Model) (FaultsSide, error) {
 
 // simSide measures one operating point, with an optional fault schedule.
 func simSide(m core.Model, faults sim.FaultSchedule, opts FaultsOptions) (sim.Result, error) {
-	return sim.Run(sim.Config{
-		Graph:    m.Graph,
-		Hardware: m.Hardware,
-		Profile: traffic.Fixed(m.Graph.Name(),
-			unit.Bandwidth(m.Traffic.IngressBW), unit.Size(m.Traffic.Granularity)),
-		Seed:     opts.Seed,
-		Duration: opts.Duration,
-		Faults:   faults,
-	})
+	return sim.Run(eval.SimConfig(m, sim.Config{
+		Seed: opts.Seed, Duration: opts.Duration, Faults: faults,
+	}))
 }
 
 // RunFaults evaluates a model healthy and under a fault scenario, and
@@ -178,7 +171,7 @@ func RunFaults(w io.Writer, m core.Model, sc spec.Scenario, opts FaultsOptions) 
 		out.FaultStats = &degraded.Faults
 	}
 	if opts.JSON {
-		return json.NewEncoder(w).Encode(out)
+		return eval.Write(w, out)
 	}
 	renderFaults(w, m, out)
 	return nil

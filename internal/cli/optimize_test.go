@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"lognic/internal/optimizer"
+	"lognic/internal/eval"
 )
 
 func TestParseKnob(t *testing.T) {
@@ -32,23 +32,6 @@ func TestParseKnob(t *testing.T) {
 		if _, err := ParseKnob(in); err == nil {
 			t.Errorf("ParseKnob(%q) should fail", in)
 		}
-	}
-}
-
-func TestParseGoal(t *testing.T) {
-	cases := map[string]optimizer.Goal{
-		"latency": optimizer.MinimizeLatency, "min-latency": optimizer.MinimizeLatency,
-		"throughput": optimizer.MaximizeThroughput, "max-throughput": optimizer.MaximizeThroughput,
-		"goodput": optimizer.MaximizeGoodput, "max-goodput": optimizer.MaximizeGoodput,
-	}
-	for in, want := range cases {
-		got, err := ParseGoal(in)
-		if err != nil || got != want {
-			t.Errorf("ParseGoal(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := ParseGoal("fastest"); err == nil {
-		t.Fatal("unknown goal should fail")
 	}
 }
 
@@ -80,7 +63,7 @@ func TestRunOptimizeLatencyGoalJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var res OptimizeResult
+	var res eval.OptimizeResult
 	if err := json.Unmarshal([]byte(b.String()), &res); err != nil {
 		t.Fatal(err)
 	}

@@ -17,10 +17,10 @@ import (
 	"runtime/metrics"
 
 	"lognic/internal/core"
+	"lognic/internal/eval"
 	"lognic/internal/obs"
 	"lognic/internal/report"
 	"lognic/internal/sim"
-	"lognic/internal/traffic"
 	"lognic/internal/unit"
 )
 
@@ -88,17 +88,13 @@ type TraceOptions struct {
 func RunTrace(w io.Writer, m core.Model, opts TraceOptions) error {
 	tracer := obs.NewTracer(opts.SpanCapacity)
 	reg := obs.NewRegistry()
-	res, err := sim.Run(sim.Config{
-		Graph:    m.Graph,
-		Hardware: m.Hardware,
-		Profile: traffic.Fixed(m.Graph.Name(),
-			unit.Bandwidth(m.Traffic.IngressBW), unit.Size(m.Traffic.Granularity)),
+	res, err := sim.Run(eval.SimConfig(m, sim.Config{
 		Seed:     opts.Seed,
 		Duration: opts.Duration,
 		Warmup:   opts.Warmup,
 		Spans:    tracer,
 		Metrics:  reg,
-	})
+	}))
 	if err != nil {
 		return err
 	}
@@ -117,7 +113,7 @@ func RunTrace(w io.Writer, m core.Model, opts TraceOptions) error {
 		return err
 	}
 	if opts.JSON {
-		return json.NewEncoder(w).Encode(rep)
+		return eval.Write(w, rep)
 	}
 	fmt.Fprintf(w, "trace: %d spans (%d evicted) -> %s\n", tracer.Len(), tracer.Dropped(), opts.Out)
 	fmt.Fprintf(w, "measured: %s throughput, mean latency %s, drop rate %.4g\n\n",

@@ -251,6 +251,22 @@ func TestBudgetExhaustionFails(t *testing.T) {
 	waitState(t, m, "cafe0002", StateFailed)
 }
 
+// A Permanent error fails the job on the attempt that raised it, with the
+// wrapped error's own message.
+func TestPermanentFailsFirstAttempt(t *testing.T) {
+	var calls atomic.Int64
+	m := newTestManager(t, t.TempDir(), func(ctx context.Context, id, kind string, body []byte, ck CheckpointStore) ([]byte, error) {
+		calls.Add(1)
+		return nil, Permanent(errors.New("deterministic"))
+	})
+	m.Submit("estimate", "cafe0004", nil)
+	j := waitState(t, m, "cafe0004", StateFailed)
+	if j.Attempts != 1 || calls.Load() != 1 || j.Error != "deterministic" {
+		t.Fatalf("attempts=%d calls=%d err=%q, want one attempt failing with %q",
+			j.Attempts, calls.Load(), j.Error, "deterministic")
+	}
+}
+
 func TestCancelRunning(t *testing.T) {
 	started := make(chan struct{})
 	m := newTestManager(t, t.TempDir(), func(ctx context.Context, id, kind string, body []byte, ck CheckpointStore) ([]byte, error) {

@@ -36,6 +36,16 @@ type CheckpointStore interface {
 	Save([]byte)
 }
 
+// Permanent marks an attempt's error as one no retry can fix — the
+// evaluation is deterministic in the job's body — so the job fails on
+// this attempt instead of spending the rest of its budget. The job
+// reports err's own message.
+func Permanent(err error) error { return permanent{err} }
+
+type permanent struct{ error }
+
+func (p permanent) Unwrap() error { return p.error }
+
 // ErrClosed reports an operation on a closed manager.
 var ErrClosed = errors.New("jobs: manager closed")
 
@@ -613,13 +623,13 @@ func (m *Manager) runAttempt(id string) {
 		j.state = StateQueued
 		j.attempts--
 		m.publishLocked(id, Event{Type: EventState, State: StateQueued, Error: "shutdown"})
-	case j.attempts >= m.cfg.MaxAttempts:
+	case j.attempts >= m.cfg.MaxAttempts || errors.As(err, new(permanent)):
 		j.state = StateFailed
 		j.errMsg = err.Error()
 		j.finished = time.Now()
 		m.appendLocked(record{Type: "fail", ID: id, Error: err.Error(), Attempts: j.attempts})
 		m.dropCheckpointLocked(j)
-		log.Error("job failed: attempt budget exhausted",
+		log.Error("job failed",
 			"attempt", attempt, "max_attempts", m.cfg.MaxAttempts, "error", err.Error())
 		m.publishLocked(id, Event{Type: EventState, State: StateFailed, Attempt: attempt,
 			Error: err.Error(), Terminal: true})

@@ -1,8 +1,9 @@
 package serve
 
-// Wire types and evaluators for the three model endpoints. The request
-// DTOs embed spec.File — the same JSON spec format the CLIs load from
-// disk — so a file that works with `lognic-est -spec f.json` works as
+// Request types and preparers for the three model endpoints; evaluation
+// and the result types are internal/eval's, shared with the CLIs. The
+// request DTOs embed spec.File — the same JSON spec format the CLIs load
+// from disk — so a file that works with `lognic f.json` works as
 // `{"spec": <contents of f.json>}` against the daemon. The DTOs are also
 // the cache identity: a decoded request re-marshals deterministically
 // (struct field order, units normalized to numbers by spec's
@@ -16,49 +17,16 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"lognic/internal/core"
-	"lognic/internal/obs"
+	"lognic/internal/eval"
 	"lognic/internal/optimizer"
 	"lognic/internal/sim"
 	"lognic/internal/spec"
-	"lognic/internal/traffic"
-	"lognic/internal/unit"
 )
 
 // EstimateRequest is the body of POST /v1/estimate.
 type EstimateRequest struct {
 	// Spec is the model document (spec package format).
 	Spec spec.File `json:"spec"`
-}
-
-// PointResult is the analytical estimate's wire shape (matches the
-// `lognic-est -json` output).
-type PointResult struct {
-	IngressBW    float64            `json:"ingress_bw"`
-	Throughput   float64            `json:"throughput"`
-	Bottleneck   string             `json:"bottleneck"`
-	Latency      float64            `json:"latency"`
-	DropRate     float64            `json:"drop_rate"`
-	Constraints  []ConstraintResult `json:"constraints"`
-	PathsLatency []PathResult       `json:"paths,omitempty"`
-}
-
-// ConstraintResult is one Equation 4 term.
-type ConstraintResult struct {
-	Kind  string  `json:"kind"`
-	Name  string  `json:"name,omitempty"`
-	Limit float64 `json:"limit"`
-}
-
-// PathResult is one path's latency breakdown.
-type PathResult struct {
-	Vertices []string `json:"vertices"`
-	Weight   float64  `json:"weight"`
-	Total    float64  `json:"total"`
-	Queueing float64  `json:"queueing"`
-	Compute  float64  `json:"compute"`
-	Overhead float64  `json:"overhead"`
-	Movement float64  `json:"movement"`
 }
 
 // OptimizeRequest is the body of POST /v1/optimize.
@@ -79,15 +47,6 @@ type KnobSpec struct {
 	Param string `json:"param"`
 	Lo    int    `json:"lo"`
 	Hi    int    `json:"hi"`
-}
-
-// OptimizeResult is the optimizer's wire shape.
-type OptimizeResult struct {
-	Goal       string         `json:"goal"`
-	Knobs      map[string]int `json:"knobs"`
-	Objective  float64        `json:"objective"`
-	Evaluated  int            `json:"evaluated"`
-	Exhaustive bool           `json:"exhaustive"`
 }
 
 // SimulateRequest is the body of POST /v1/simulate.
@@ -146,39 +105,12 @@ func cacheKey(endpoint string, dto any) (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// estimatePoint evaluates a model once into the wire shape.
-func estimatePoint(m core.Model) (PointResult, error) {
-	est, err := m.Estimate()
-	if err != nil {
-		return PointResult{}, err
-	}
-	out := PointResult{
-		IngressBW:  m.Traffic.IngressBW,
-		Throughput: est.Throughput.Attainable,
-		Bottleneck: est.Throughput.Bottleneck.String(),
-		Latency:    est.Latency.Attainable,
-		DropRate:   est.Latency.DropRate,
-	}
-	for _, c := range est.Throughput.Constraints {
-		out.Constraints = append(out.Constraints, ConstraintResult{
-			Kind: c.Kind.String(), Name: c.Name, Limit: c.Limit,
-		})
-	}
-	for _, p := range est.Latency.Paths {
-		out.PathsLatency = append(out.PathsLatency, PathResult{
-			Vertices: p.Vertices, Weight: p.Weight, Total: p.Total,
-			Queueing: p.Queueing, Compute: p.Compute,
-			Overhead: p.Overhead, Movement: p.Movement,
-		})
-	}
-	return out, nil
-}
-
 // prepared is one admitted request: its cache key and the work to run if
-// the cache misses.
+// the cache misses. An async job passes its attempt to run; synchronous
+// requests pass nil.
 type prepared struct {
 	key string
-	run func(ctx context.Context) (any, error)
+	run func(ctx context.Context, job *jobAttempt) (any, error)
 }
 
 // prepareEstimate decodes and validates an estimate request.
@@ -195,8 +127,8 @@ func (s *Server) prepareEstimate(body []byte) (prepared, error) {
 	if err != nil {
 		return prepared{}, err
 	}
-	return prepared{key: key, run: func(ctx context.Context) (any, error) {
-		return estimatePoint(m)
+	return prepared{key: key, run: func(context.Context, *jobAttempt) (any, error) {
+		return eval.Point(m)
 	}}, nil
 }
 
@@ -229,22 +161,8 @@ func (s *Server) prepareOptimize(body []byte) (prepared, error) {
 	if err != nil {
 		return prepared{}, err
 	}
-	return prepared{key: key, run: func(ctx context.Context) (any, error) {
-		sol, err := optimizer.SolveKnobs(m, goal, knobs, req.MaxEvals)
-		if err != nil {
-			return nil, err
-		}
-		out := OptimizeResult{
-			Goal:       goal.String(),
-			Knobs:      make(map[string]int, len(knobs)),
-			Objective:  sol.Objective,
-			Evaluated:  sol.Evaluated,
-			Exhaustive: sol.Exhaustive,
-		}
-		for i, k := range knobs {
-			out.Knobs[k.Name()] = sol.Values[i]
-		}
-		return out, nil
+	return prepared{key: key, run: func(context.Context, *jobAttempt) (any, error) {
+		return eval.Optimize(m, goal, knobs, req.MaxEvals)
 	}}, nil
 }
 
@@ -269,32 +187,14 @@ func (s *Server) prepareSimulate(body []byte) (prepared, error) {
 	if err != nil {
 		return prepared{}, err
 	}
-	return prepared{key: key, run: func(ctx context.Context) (any, error) {
-		cfg := sim.Config{
-			Graph:    m.Graph,
-			Hardware: m.Hardware,
-			Profile: traffic.Fixed(m.Graph.Name(),
-				unit.Bandwidth(m.Traffic.IngressBW), unit.Size(m.Traffic.Granularity)),
+	return prepared{key: key, run: func(ctx context.Context, job *jobAttempt) (any, error) {
+		return s.simulate(ctx, eval.SimConfig(m, sim.Config{
 			Seed:                 req.Seed,
 			Duration:             req.Duration,
 			Warmup:               req.Warmup,
 			DeterministicService: req.Deterministic,
 			MaxEvents:            maxEvents,
 			Shards:               req.Shards,
-		}
-		// Synchronous simulations join the request's trace: vertex spans
-		// parent under the server's request span. (Cache hits skip the
-		// evaluation entirely, so a traced run is only guaranteed on a
-		// cold key.)
-		if tc, ok := obs.TraceFromContext(ctx); ok {
-			cfg.TraceID = tc.TraceID
-			cfg.ParentSpanID = tc.SpanID
-			cfg.Spans = s.cfg.Tracer
-		}
-		sm, err := sim.New(cfg)
-		if err != nil {
-			return nil, badRequest{err}
-		}
-		return sm.RunContext(ctx)
+		}), job)
 	}}, nil
 }

@@ -14,7 +14,7 @@ package serve
 // job, one evaluation, and the same /v1/jobs/{id} to poll. Durability,
 // retries with backoff, and the degraded memory-only mode live in
 // internal/jobs; this file is the HTTP surface plus the evaluator that
-// maps job kinds back onto the endpoint preparers.
+// runs job kinds through the endpoint preparers.
 
 import (
 	"context"
@@ -23,26 +23,24 @@ import (
 	"net/http"
 	"time"
 
+	"lognic/internal/eval"
 	"lognic/internal/jobs"
 	"lognic/internal/obs"
 	"lognic/internal/sim"
-	"lognic/internal/traffic"
-	"lognic/internal/unit"
 )
 
-// jobKinds maps a submission kind to its request preparer (validation +
-// canonical hash). The evaluator dispatches on the same names.
-func (s *Server) jobPreparer(kind string) func([]byte) (prepared, error) {
+// prepareJob validates a job body with its kind's endpoint preparer, which
+// also yields the canonical hash that is the job ID.
+func (s *Server) prepareJob(kind string, body []byte) (prepared, error) {
 	switch kind {
 	case "estimate":
-		return s.prepareEstimate
+		return s.prepareEstimate(body)
 	case "optimize":
-		return s.prepareOptimize
+		return s.prepareOptimize(body)
 	case "simulate":
-		return s.prepareSimulate
-	default:
-		return nil
+		return s.prepareSimulate(body)
 	}
+	return prepared{}, badRequest{fmt.Errorf("serve: unknown job kind %q (want estimate, optimize or simulate)", kind)}
 }
 
 // JobSubmitRequest is the body of POST /v1/jobs.
@@ -141,15 +139,9 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	prep := s.jobPreparer(env.Kind)
-	if prep == nil {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("serve: unknown job kind %q (want estimate, optimize or simulate)", env.Kind))
-		return
-	}
 	// Validate now so a malformed spec fails the submission, not the
-	// attempt; the preparer also yields the canonical hash = job ID.
-	p, err := prep(env.Request)
+	// attempt.
+	p, err := s.prepareJob(env.Kind, env.Request)
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
@@ -238,112 +230,82 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// evalJob is the jobs.Manager evaluator: it maps a journaled (kind, body)
-// back onto the endpoint logic. Attempts deliberately run without
-// RequestTimeout — outliving synchronous limits is what jobs are for —
-// bounded instead by the simulation event budget and shutdown.
+// evalJob is the jobs.Manager evaluator: the synchronous endpoints' road —
+// prepare, run, encode — for a journaled (kind, body), so an async result
+// is byte-for-byte the response the endpoint would have sent. Attempts
+// deliberately run without RequestTimeout — outliving synchronous limits
+// is what jobs are for — bounded instead by the simulation event budget
+// and shutdown.
 func (s *Server) evalJob(ctx context.Context, id, kind string, body []byte, ck jobs.CheckpointStore) ([]byte, error) {
-	var result any
-	var err error
-	switch kind {
-	case "simulate":
-		result, err = s.runSimulateJob(ctx, id, body, ck)
-	case "estimate", "optimize":
-		p, perr := s.jobPreparer(kind)(body)
-		if perr != nil {
-			return nil, perr
+	var out []byte
+	p, err := s.prepareJob(kind, body)
+	if err == nil {
+		var result any
+		if result, err = p.run(ctx, &jobAttempt{id: id, ck: ck}); err == nil {
+			out, err = eval.Encode(result)
 		}
-		result, err = p.run(ctx)
-	default:
-		return nil, badRequest{fmt.Errorf("serve: unknown job kind %q", kind)}
 	}
-	if err != nil {
-		return nil, err
+	// An error the endpoint would answer with a 4xx is deterministic in
+	// the body: fail the job now rather than retry into the same answer.
+	if err != nil && statusFor(err) < 500 {
+		return nil, jobs.Permanent(err)
 	}
-	out, err := json.Marshal(result)
-	if err != nil {
-		return nil, err
-	}
-	// Identical serialization to the synchronous endpoints, so an async
-	// result is byte-for-byte the response /v1/simulate would have sent.
-	return append(out, '\n'), nil
+	return out, err
 }
 
-// runSimulateJob runs one simulation attempt with checkpointing: periodic
-// snapshots go to the job's checkpoint slot, and an attempt that finds a
-// snapshot resumes from it instead of starting over.
-func (s *Server) runSimulateJob(ctx context.Context, id string, body []byte, ck jobs.CheckpointStore) (any, error) {
-	var req SimulateRequest
-	if err := decodeStrict(body, &req); err != nil {
-		return nil, err
-	}
-	m, err := req.Spec.Model()
-	if err != nil {
-		return nil, badRequest{err}
-	}
-	if req.Duration <= 0 {
-		return nil, badRequest{fmt.Errorf("serve: simulate needs duration > 0 seconds")}
-	}
-	maxEvents := req.MaxEvents
-	if maxEvents == 0 {
-		maxEvents = s.cfg.MaxSimEvents
-	}
-	cfg := sim.Config{
-		Graph:    m.Graph,
-		Hardware: m.Hardware,
-		Profile: traffic.Fixed(m.Graph.Name(),
-			unit.Bandwidth(m.Traffic.IngressBW), unit.Size(m.Traffic.Granularity)),
-		Seed:                 req.Seed,
-		Duration:             req.Duration,
-		Warmup:               req.Warmup,
-		DeterministicService: req.Deterministic,
-		MaxEvents:            maxEvents,
-		Shards:               req.Shards,
-	}
-	// The manager stamps the attempt's trace context on the context; the
-	// simulation's vertex spans parent under the attempt span, and live
-	// progress frames feed the job's SSE subscribers (throttled to wall
-	// clock — the sim polls far faster than any human or dashboard).
+// jobAttempt is the async job an evaluation runs for.
+type jobAttempt struct {
+	id string
+	ck jobs.CheckpointStore
+}
+
+// simulate runs one simulation joined to the context's trace: vertex spans
+// parent under the request span, or under the attempt span the job
+// manager stamps. (Cache hits skip the evaluation entirely, so a request's
+// trace holds simulation spans only on a cold key.) A job attempt also feeds live progress frames to the
+// job's SSE subscribers (throttled to wall clock — the sim polls far
+// faster than any human or dashboard), saves periodic snapshots to its
+// checkpoint slot, and resumes from a saved snapshot instead of starting
+// over.
+func (s *Server) simulate(ctx context.Context, cfg sim.Config, job *jobAttempt) (any, error) {
 	if tc, ok := obs.TraceFromContext(ctx); ok {
 		cfg.TraceID = tc.TraceID
 		cfg.ParentSpanID = tc.SpanID
 		cfg.Spans = s.cfg.Tracer
 	}
-	var lastProgress time.Time
-	cfg.Progress = func(p sim.Progress) {
-		if now := time.Now(); now.Sub(lastProgress) >= 50*time.Millisecond {
-			lastProgress = now
-			s.jobs.Progress(id, p.Events, p.SimTime, p.Checkpoints)
-		}
-	}
-	// Sharded runs cannot checkpoint (sim.ErrShardedCheckpoint); the job
-	// still runs crash-safe, it just restarts attempts from t=0.
-	if s.cfg.JobCheckpointEvery > 0 && req.Shards <= 1 {
-		cfg.CheckpointEvery = s.cfg.JobCheckpointEvery
-		cfg.CheckpointSink = func(c *sim.Checkpoint) error {
-			b, err := c.Encode()
-			if err != nil {
-				return nil // best-effort: a snapshot we can't encode just isn't saved
+	if job != nil {
+		var lastProgress time.Time
+		cfg.Progress = func(p sim.Progress) {
+			if now := time.Now(); now.Sub(lastProgress) >= 50*time.Millisecond {
+				lastProgress = now
+				s.jobs.Progress(job.id, p.Events, p.SimTime, p.Checkpoints)
 			}
-			ck.Save(b)
-			return nil
 		}
-	}
-	var sm *sim.Simulator
-	if b, ok := ck.Load(); ok {
+		// Sharded runs cannot checkpoint (sim.ErrShardedCheckpoint); the
+		// job still runs crash-safe, it just restarts attempts from t=0.
+		if s.cfg.JobCheckpointEvery > 0 && cfg.Shards <= 1 {
+			cfg.CheckpointEvery = s.cfg.JobCheckpointEvery
+			cfg.CheckpointSink = func(c *sim.Checkpoint) error {
+				if b, err := c.Encode(); err == nil {
+					job.ck.Save(b) // best-effort: a snapshot we can't encode just isn't saved
+				}
+				return nil
+			}
+		}
 		// A stale or undecodable snapshot (server upgraded, knob changed)
 		// falls through to a fresh run — correct, just slower.
-		if ckpt, derr := sim.DecodeCheckpoint(b); derr == nil {
-			if resumed, rerr := sim.Resume(cfg, ckpt); rerr == nil {
-				sm = resumed
-				s.jobs.MarkResumed(id)
+		if b, ok := job.ck.Load(); ok {
+			if ckpt, err := sim.DecodeCheckpoint(b); err == nil {
+				if sm, err := sim.Resume(cfg, ckpt); err == nil {
+					s.jobs.MarkResumed(job.id)
+					return sm.RunContext(ctx)
+				}
 			}
 		}
 	}
-	if sm == nil {
-		if sm, err = sim.New(cfg); err != nil {
-			return nil, badRequest{err}
-		}
+	sm, err := sim.New(cfg)
+	if err != nil {
+		return nil, badRequest{err}
 	}
 	return sm.RunContext(ctx)
 }

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"lognic/internal/eval"
 )
 
 // waitReady polls /readyz until the server reports ready.
@@ -87,7 +89,7 @@ func TestJobSubmitPollEstimate(t *testing.T) {
 	if done.State != "succeeded" || done.Attempts != 1 {
 		t.Fatalf("job: %+v", done)
 	}
-	var pt PointResult
+	var pt eval.PointResult
 	if err := json.Unmarshal(done.Result, &pt); err != nil {
 		t.Fatal(err)
 	}

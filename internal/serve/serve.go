@@ -58,6 +58,7 @@ import (
 	"syscall"
 	"time"
 
+	"lognic/internal/eval"
 	"lognic/internal/jobs"
 	"lognic/internal/obs"
 	"lognic/internal/obs/olog"
@@ -506,9 +507,11 @@ func statusFor(err error) int {
 		return http.StatusBadRequest
 	case errors.Is(err, optimizer.ErrNoFeasible),
 		errors.Is(err, sim.ErrBudgetExceeded),
-		errors.Is(err, sim.ErrStalled):
+		errors.Is(err, sim.ErrStalled),
+		errors.Is(err, eval.ErrNonFinite):
 		// The request was well-formed but the model rejected it: no
-		// feasible configuration, or a simulation that blew its budget.
+		// feasible configuration, a simulation that blew its budget, or a
+		// spec that drives the model out of floating-point range.
 		return http.StatusUnprocessableEntity
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
@@ -729,7 +732,7 @@ func (s *Server) handle(endpoint string, prepare func([]byte) (prepared, error))
 				return nil, err
 			}
 			evalStart := time.Now()
-			res, err := p.run(ctx)
+			res, err := p.run(ctx, nil)
 			s.observeServiceTime(time.Since(evalStart))
 			return res, err
 		}()
@@ -739,13 +742,12 @@ func (s *Server) handle(endpoint string, prepare func([]byte) (prepared, error))
 			return
 		}
 
-		out, err := json.Marshal(result)
+		out, err := eval.Encode(result)
 		if err != nil {
-			code = http.StatusInternalServerError
+			code = statusFor(err)
 			writeError(w, code, err)
 			return
 		}
-		out = append(out, '\n')
 		// Miss accounting only applies when a cache exists to miss: a
 		// server started with caching disabled must report no cache
 		// traffic (and no 0.0 hit ratio for a cache that isn't there).

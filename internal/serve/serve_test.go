@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"lognic/internal/eval"
 	"lognic/internal/obs"
 )
 
@@ -69,7 +70,7 @@ func TestEstimateRoundTrip(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var pt PointResult
+	var pt eval.PointResult
 	if err := json.Unmarshal(body, &pt); err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestOptimizeRoundTrip(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, out)
 	}
-	var res OptimizeResult
+	var res eval.OptimizeResult
 	if err := json.Unmarshal(out, &res); err != nil {
 		t.Fatal(err)
 	}

@@ -106,3 +106,30 @@ func TestSpansCarryTraceIdentity(t *testing.T) {
 		}
 	}
 }
+
+// TestProgressNeverEmpty checks that no Progress call reports zero
+// events, on the serial engine and the sharded one alike: a frame sent
+// before the first event carries nothing, and the job event stream relays
+// every frame it gets.
+func TestProgressNeverEmpty(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		cfg, err := MeshConfig(8, 0.7, 3, 0.002)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Shards = shards
+		calls := 0
+		cfg.Progress = func(p Progress) {
+			calls++
+			if p.Events == 0 {
+				t.Errorf("shards=%d: progress call %d reports zero events: %+v", shards, calls, p)
+			}
+		}
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if calls == 0 {
+			t.Fatalf("shards=%d: progress hook never fired", shards)
+		}
+	}
+}

@@ -379,8 +379,9 @@ func (s *Simulator) runSharded(ctx context.Context) (Result, error) {
 				sh.outbox[tgt] = box[:0]
 			}
 		}
-		if s.cfg.Progress != nil {
-			s.cfg.Progress(Progress{Events: r.total.Load(), SimTime: floor})
+		// As in the serial engine, no progress before the first event.
+		if total := r.total.Load(); s.cfg.Progress != nil && total > 0 {
+			s.cfg.Progress(Progress{Events: total, SimTime: floor})
 		}
 		// MaxEvents is approximate under sharding: domains flush local
 		// counts every ctxCheckInterval events, so the run stops within

@@ -114,7 +114,8 @@ type Config struct {
 	// own write failures and return nil.
 	CheckpointSink func(*Checkpoint) error
 	// Progress, when set, receives in-run progress snapshots on the
-	// context-poll cadence (every ctxCheckInterval events). Like Trace and
+	// context-poll cadence (every ctxCheckInterval events), never before
+	// the first event, so Events is always above zero. Like Trace and
 	// Spans it observes without perturbing the run: it consumes no
 	// simulator randomness, and disabled it costs one nil check per poll,
 	// not per event. lognic-serve feeds these to the live job-event
@@ -760,7 +761,9 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 			if err := ctx.Err(); err != nil {
 				return Result{}, fmt.Errorf("sim: run aborted at t=%v after %d events: %w", s.now, s.processed, err)
 			}
-			if s.cfg.Progress != nil {
+			// No progress before the first event: a frame with nothing
+			// processed says nothing.
+			if s.cfg.Progress != nil && s.processed > 0 {
 				s.cfg.Progress(Progress{Events: s.processed, SimTime: s.now, Checkpoints: s.ckpts})
 			}
 		}
